@@ -56,40 +56,6 @@ fn bench_pair_kernel(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_neighbor_list_vs_cells(c: &mut Criterion) {
-    // The classic trade: 27-cell search checks every candidate each step;
-    // a Verlet list pays a build now and then for far fewer checks.
-    use pcdlb_md::neighbors::NeighborList;
-    use pcdlb_md::serial::SerialSim;
-    use pcdlb_md::thermostat::Thermostat;
-    use pcdlb_md::{init, LennardJones};
-
-    let box_len = 15.4; // 6 cells of 2.56
-    let n = (0.256 * box_len * box_len * box_len) as usize;
-    let mut ps = init::simple_cubic(n, box_len);
-    init::maxwell_boltzmann(&mut ps, 0.722, 1);
-    let lj = LennardJones::paper();
-
-    let mut g = c.benchmark_group("force_evaluation");
-    g.bench_function("cell_search_27", |b| {
-        // SerialSim recomputes forces on construction; reuse one instance
-        // per iteration by stepping (forces recomputed inside).
-        let mut sim = SerialSim::new(ps.clone(), 6, box_len, lj, 1e-9, Thermostat::off());
-        b.iter(|| {
-            sim.step();
-            sim.last_work().pair_checks
-        });
-    });
-    g.bench_function("verlet_list_reuse", |b| {
-        let list = NeighborList::build(&ps, box_len, &lj, 0.4);
-        b.iter(|| list.compute_forces(&ps, &lj).1.pair_checks);
-    });
-    g.bench_function("verlet_list_build", |b| {
-        b.iter(|| NeighborList::build(&ps, box_len, &lj, 0.4).num_pairs());
-    });
-    g.finish();
-}
-
 fn bench_half_vs_full_shell(c: &mut Criterion) {
     // The whole-grid force pass: the seed's 27-offset full-shell sweep
     // (each pair evaluated from both ends) against the production
@@ -148,6 +114,6 @@ fn bench_lj_scalar(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_pair_kernel, bench_neighbor_list_vs_cells, bench_half_vs_full_shell, bench_lj_scalar
+    targets = bench_pair_kernel, bench_half_vs_full_shell, bench_lj_scalar
 }
 criterion_main!(benches);

@@ -3,20 +3,19 @@
 //!
 //! Two measurements:
 //!
-//! 1. **Force phase in isolation** — four kernels on the same
+//! 1. **Force phase in isolation** — three kernels on the same
 //!    paper-density gas grid, in historical order: the seed's full-shell
 //!    27-offset pass (`pcdlb_bench::full_shell_forces`, each pair
 //!    evaluated from both ends), the production 13-offset half-shell
-//!    pass (`pcdlb_md::serial::compute_forces_half_shell`), its SoA
-//!    twin (`pcdlb_md::soa::compute_forces_half_shell_soa`, flat x/y/z
-//!    arrays the compiler can vectorize), and the Verlet replay of a
-//!    recorded CSR pair list (`VerletList`, candidates within
-//!    `r_c + skin`, including the per-call position reload production
-//!    pays). All four book identical full-shell `WorkCounters`, so
-//!    checks/sec are directly comparable; `speedup` (half vs full,
-//!    target ≥ 1.6×) and `soa_ratio` (best SoA-path vs half-shell,
-//!    target ≥ 1.3×) are the headline numbers, and
-//!    `checks_per_sec_trend` records the whole progression.
+//!    pass (`pcdlb_md::serial::compute_forces_half_shell`), and the
+//!    Verlet replay of a recorded CSR pair list over SoA positions
+//!    (`VerletList`, candidates within `r_c + skin`, including the
+//!    per-call position reload production pays). All three book
+//!    identical full-shell `WorkCounters`, so checks/sec are directly
+//!    comparable; `speedup` (half vs full, target ≥ 1.6×) and
+//!    `soa_ratio` (Verlet replay vs half-shell, target ≥ 1.3×) are the
+//!    headline numbers, and `checks_per_sec_trend` records the whole
+//!    progression.
 //! 2. **Whole steps per second** — the serial reference and the SPMD
 //!    simulator swept over P ∈ {1, 4, 9, 16} PE grids (ranks are
 //!    threads; on a single-core host the parallel rows measure protocol
@@ -26,10 +25,10 @@
 //!    (force / ghost / migrate / DLB) summed over ranks.
 //!
 //! Every SPMD row also carries `bytes_on_wire`: per-phase byte totals of
-//! the frames actually shipped (delta ghost frames, coalesced step
-//! messages) next to the bytes the same content would cost as pre-diet
-//! full frames — `ghost_ratio` is the comm-volume-diet figure of merit.
-//! Unlike the timings these are deterministic, so CI gates on them.
+//! the frames shipped (shell-only ghost frames, coalesced step messages)
+//! next to the bytes the same content would cost in the pre-diet layout
+//! (full particles per route column, separate migrate/load messages).
+//! Unlike the timings these are deterministic.
 //!
 //! A third, heterogeneous scenario runs the P = 9 grid twice under a
 //! drifting per-PE [`SpeedSchedule`] — once with the work-based
@@ -41,20 +40,16 @@
 //! Usage: `cargo run --release -p pcdlb-bench --bin steps_per_sec`
 //! (options: `--nc`, `--density`, `--iters`, `--steps`, `--out`,
 //! `--scaling-out`, `--assert-p4-ratio <min>`,
-//! `--assert-soa-ratio <min>`, `--assert-p9-ghost-ratio <min>`,
-//! `--assert-hetero-gain <min>`). `--assert-soa-ratio` makes the run
-//! fail when neither SoA-path kernel (SoA walk or Verlet replay) beats
-//! the half-shell baseline by `<min>`× — a same-host, same-run timing
-//! comparison, so no hardware-thread caveat applies.
+//! `--assert-soa-ratio <min>`, `--assert-hetero-gain <min>`).
+//! `--assert-soa-ratio` makes the run fail when the Verlet replay does
+//! not beat the half-shell baseline by `<min>`× — a same-host, same-run
+//! timing comparison, so no hardware-thread caveat applies.
 //! `--assert-p4-ratio` makes the run fail when the P = 4 speedup is
 //! below `<min>`, but downgrades to a warning on hosts with fewer than
 //! 4 hardware threads, where a parallel speedup is physically
-//! impossible. `--assert-p9-ghost-ratio` fails the run when the P = 9
-//! ghost-phase wire bytes are not at least `<min>` times smaller than
-//! the full-frame baseline (no hardware caveat: byte counts are
-//! deterministic). `--assert-hetero-gain` fails the run when the
+//! impossible. `--assert-hetero-gain` fails the run when the
 //! speed-aware metric does not cut the heterogeneous time imbalance by
-//! at least `<min>`× vs work-based (also deterministic).
+//! at least `<min>`× vs work-based (deterministic: modelled times).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -63,7 +58,6 @@ use pcdlb_bench::{full_shell_forces, Args};
 use pcdlb_md::cells::HALF_OFFSETS_13;
 use pcdlb_md::force::ExternalPull;
 use pcdlb_md::serial::compute_forces_half_shell;
-use pcdlb_md::soa::compute_forces_half_shell_soa;
 use pcdlb_md::{init, CellGrid, LennardJones, PairKernel, SegAction, SoaField, Vec3, VerletList};
 use pcdlb_sim::{
     run, run_with_phase_times, serial_sim, PhaseTimes, RunConfig, RunReport, SpeedSchedule,
@@ -108,9 +102,6 @@ struct StepRow {
     /// Per-phase bytes-on-wire totals over all ranks (deterministic;
     /// always live). Zeros for the serial row.
     wire: WireBytes,
-    /// Ghost delta-channel desyncs summed over all ranks (0 in healthy
-    /// runs; a healed desync costs one degraded step on one link).
-    ghost_desyncs: u64,
     /// Link-layer retransmissions over all ranks (0 over the perfect
     /// in-process transport).
     retransmits: u64,
@@ -141,8 +132,7 @@ fn json_scaling_row(out: &mut String, row: &StepRow, serial_sps: f64) {
          \"bytes_on_wire\": {{ \"ghost\": {}, \"ghost_baseline\": {}, \
          \"ghost_ratio\": {:.3}, \"migrate\": {}, \"migrate_baseline\": {}, \
          \"dlb\": {}, \"total\": {} }}, \
-         \"reliability\": {{ \"ghost_desyncs\": {}, \"retransmits\": {}, \
-         \"suspicions\": {} }} }}",
+         \"reliability\": {{ \"retransmits\": {}, \"suspicions\": {} }} }}",
         row.mode,
         row.p,
         row.steps,
@@ -161,14 +151,13 @@ fn json_scaling_row(out: &mut String, row: &StepRow, serial_sps: f64) {
         row.wire.migrate_baseline,
         row.wire.dlb,
         row.wire.total(),
-        row.ghost_desyncs,
         row.retransmits,
         row.suspicions
     );
 }
 
 /// Comm-volume-diet figure of merit: how many times smaller the ghost
-/// phase is on the wire than the pre-diet full-frame layout.
+/// phase is on the wire than the pre-diet layout.
 fn ghost_ratio(wire: &WireBytes) -> f64 {
     if wire.ghost == 0 {
         return 1.0;
@@ -214,7 +203,6 @@ fn main() {
     // 0.0 disables the assertions (the default).
     let assert_p4 = args.get_f64("assert-p4-ratio", 0.0);
     let assert_soa = args.get_f64("assert-soa-ratio", 0.0);
-    let assert_p9_ghost = args.get_f64("assert-p9-ghost-ratio", 0.0);
     let assert_hetero = args.get_f64("assert-hetero-gain", 0.0);
 
     // --- 1. Force phase: full-shell baseline vs half-shell kernel. ---
@@ -237,10 +225,6 @@ fn main() {
         compute_forces_half_shell(&grid, &kernel, &ExternalPull::None, &mut forces).pair_checks
     });
     let mut soa = SoaField::new();
-    let soa_row = time_kernel(iters, || {
-        compute_forces_half_shell_soa(&grid, &kernel, &ExternalPull::None, &mut soa, &mut forces)
-            .pair_checks
-    });
 
     // Verlet replay: record the CSR candidate list once (a rebuild step),
     // then time the steady-state replay — including the per-call position
@@ -286,16 +270,14 @@ fn main() {
         w[0].pair_checks
     });
 
-    for (name, row) in [("half", &half), ("soa", &soa_row), ("verlet", &verlet)] {
+    for (name, row) in [("half", &half), ("verlet", &verlet)] {
         assert_eq!(
             full.pair_checks, row.pair_checks,
             "work accounting diverged between the full-shell and {name} kernels"
         );
     }
     let speedup = full.seconds_per_call / half.seconds_per_call;
-    let soa_speedup = half.seconds_per_call / soa_row.seconds_per_call;
-    let verlet_speedup = half.seconds_per_call / verlet.seconds_per_call;
-    let soa_ratio = soa_speedup.max(verlet_speedup);
+    let soa_ratio = half.seconds_per_call / verlet.seconds_per_call;
     eprintln!(
         "force phase: N = {n}, nc = {nc}, {} full-shell checks/pass, verlet skin {skin:.3}",
         full.pair_checks
@@ -306,9 +288,7 @@ fn main() {
         half.seconds_per_call * 1e3
     );
     eprintln!(
-        "  soa {:.3} ms/pass ({soa_speedup:.2}x vs half), verlet replay {:.3} ms/pass \
-         ({verlet_speedup:.2}x vs half) -> soa_ratio {soa_ratio:.2}x",
-        soa_row.seconds_per_call * 1e3,
+        "  verlet replay {:.3} ms/pass -> soa_ratio {soa_ratio:.2}x vs half",
         verlet.seconds_per_call * 1e3
     );
 
@@ -338,7 +318,6 @@ fn main() {
         pair_checks: serial_checks,
         phase: PhaseTimes::default(),
         wire: WireBytes::default(),
-        ghost_desyncs: 0,
         retransmits: 0,
         suspicions: 0,
     });
@@ -356,7 +335,6 @@ fn main() {
             pair_checks: report.records.iter().map(|r| r.pair_checks).sum(),
             phase,
             wire,
-            ghost_desyncs: report.ghost_desyncs,
             retransmits: report.retransmits,
             suspicions: report.suspicions,
         });
@@ -409,7 +387,7 @@ fn main() {
         } else {
             eprintln!(
                 "{:>6} P={}: {:.2} steps/sec, ghost {} B on wire \
-                 (full-frame baseline {} B, {:.2}x smaller)",
+                 (pre-diet baseline {} B, {:.2}x smaller)",
                 r.mode,
                 r.p,
                 r.steps as f64 / r.seconds,
@@ -443,24 +421,16 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"soa_half_shell\": {{ \"seconds_per_call\": {:.6e}, \"pair_checks_per_call\": {}, \
-         \"checks_per_sec\": {:.3e} }},",
-        soa_row.seconds_per_call, soa_row.pair_checks, soa_row.checks_per_sec
-    );
-    let _ = writeln!(
-        json,
         "    \"verlet\": {{ \"seconds_per_call\": {:.6e}, \"pair_checks_per_call\": {}, \
          \"checks_per_sec\": {:.3e}, \"skin\": {skin:.4} }},",
         verlet.seconds_per_call, verlet.pair_checks, verlet.checks_per_sec
     );
     let _ = writeln!(
         json,
-        "    \"checks_per_sec_trend\": [{:.3e}, {:.3e}, {:.3e}, {:.3e}],",
-        full.checks_per_sec, half.checks_per_sec, soa_row.checks_per_sec, verlet.checks_per_sec
+        "    \"checks_per_sec_trend\": [{:.3e}, {:.3e}, {:.3e}],",
+        full.checks_per_sec, half.checks_per_sec, verlet.checks_per_sec
     );
     let _ = writeln!(json, "    \"speedup\": {speedup:.3},");
-    let _ = writeln!(json, "    \"soa_speedup\": {soa_speedup:.3},");
-    let _ = writeln!(json, "    \"verlet_speedup\": {verlet_speedup:.3},");
     let _ = writeln!(json, "    \"soa_ratio\": {soa_ratio:.3}");
     json.push_str("  },\n");
     json.push_str("  \"steps_per_sec\": [\n");
@@ -546,32 +516,16 @@ fn main() {
         // hardware-thread caveat.
         assert!(
             soa_ratio >= assert_soa,
-            "SoA force-path speedup {soa_ratio:.2}x over the half-shell baseline is below \
-             the required {assert_soa}x (soa {soa_speedup:.2}x, verlet replay \
-             {verlet_speedup:.2}x)"
+            "Verlet replay speedup {soa_ratio:.2}x over the half-shell baseline is below \
+             the required {assert_soa}x"
         );
-        eprintln!("SoA force-path speedup {soa_ratio:.2}x meets the {assert_soa}x goal");
-    }
-
-    if assert_p9_ghost > 0.0 {
-        // Byte counts are deterministic, so this gate has no
-        // hardware-thread caveat: a regression is a code change.
-        let p9 = rows.iter().find(|r| r.p == 9).expect("P = 9 row present");
-        let ratio = ghost_ratio(&p9.wire);
-        assert!(
-            ratio >= assert_p9_ghost,
-            "P = 9 ghost bytes-on-wire ratio {ratio:.2}x is below the required \
-             {assert_p9_ghost}x ({} B shipped vs {} B full-frame baseline)",
-            p9.wire.ghost,
-            p9.wire.ghost_baseline
-        );
-        eprintln!("P = 9 ghost wire ratio {ratio:.2}x meets the {assert_p9_ghost}x goal");
+        eprintln!("Verlet replay speedup {soa_ratio:.2}x meets the {assert_soa}x goal");
     }
 
     if assert_hetero > 0.0 {
         // The imbalance figures come from modelled virtual step times,
-        // so like the ghost-byte gate this one has no hardware caveat:
-        // a regression is a code change.
+        // so this gate has no hardware caveat: a regression is a code
+        // change.
         assert!(
             hetero_gain >= assert_hetero,
             "speed-aware DLB time-imbalance gain {hetero_gain:.2}x is below the \

@@ -50,7 +50,7 @@ pub mod tags {
     /// exactly two framed messages to each of its 8 neighbours under this
     /// one tag — round 1 carries boundary-crossing migrants plus (on DLB
     /// steps) the sender's last-step load, round 2 carries the
-    /// delta-encodable boundary-shell ghost frame. Sub-frame presence
+    /// boundary-shell ghost frame. Sub-frame presence
     /// headers inside the frame distinguish the rounds; per-(src,dst,tag)
     /// FIFO ordering keeps the two rounds matched.
     pub const STEP_FRAME: u64 = 16;

@@ -11,21 +11,11 @@
 /// Number of bytes a value would occupy in a length-prefixed binary
 /// encoding. Used only for communication-cost accounting.
 pub trait WireSize {
-    /// Canonical encoded size in bytes. This is what the cost model
-    /// charges, and it must depend only on message *content* — never on
-    /// how the content happens to be compressed this step — so that
-    /// virtual-time accounting stays bitwise reproducible across runs
-    /// that encode the same content differently (e.g. a delta frame vs
-    /// its full-frame fallback after a takeover).
+    /// Encoded size in bytes. This is what the cost model charges and
+    /// what the per-tag `bytes_on_wire` counters record; it depends only
+    /// on message content, so virtual-time accounting is bitwise
+    /// reproducible.
     fn wire_size(&self) -> usize;
-
-    /// Actual bytes this value occupies on the wire in its current
-    /// encoding. Equal to [`WireSize::wire_size`] for plain payloads;
-    /// compressed frames override it. Feeds the per-tag `bytes_on_wire`
-    /// counters only — never the cost model.
-    fn encoded_size(&self) -> usize {
-        self.wire_size()
-    }
 }
 
 macro_rules! scalar_wire {
@@ -52,17 +42,11 @@ impl<T: WireSize> WireSize for Vec<T> {
     fn wire_size(&self) -> usize {
         8 + self.iter().map(WireSize::wire_size).sum::<usize>()
     }
-    fn encoded_size(&self) -> usize {
-        8 + self.iter().map(WireSize::encoded_size).sum::<usize>()
-    }
 }
 
 impl<T: WireSize> WireSize for Option<T> {
     fn wire_size(&self) -> usize {
         1 + self.as_ref().map_or(0, WireSize::wire_size)
-    }
-    fn encoded_size(&self) -> usize {
-        1 + self.as_ref().map_or(0, WireSize::encoded_size)
     }
 }
 
@@ -70,17 +54,11 @@ impl<T: WireSize, const N: usize> WireSize for [T; N] {
     fn wire_size(&self) -> usize {
         self.iter().map(WireSize::wire_size).sum()
     }
-    fn encoded_size(&self) -> usize {
-        self.iter().map(WireSize::encoded_size).sum()
-    }
 }
 
 impl<A: WireSize, B: WireSize> WireSize for (A, B) {
     fn wire_size(&self) -> usize {
         self.0.wire_size() + self.1.wire_size()
-    }
-    fn encoded_size(&self) -> usize {
-        self.0.encoded_size() + self.1.encoded_size()
     }
 }
 
@@ -88,20 +66,11 @@ impl<A: WireSize, B: WireSize, C: WireSize> WireSize for (A, B, C) {
     fn wire_size(&self) -> usize {
         self.0.wire_size() + self.1.wire_size() + self.2.wire_size()
     }
-    fn encoded_size(&self) -> usize {
-        self.0.encoded_size() + self.1.encoded_size() + self.2.encoded_size()
-    }
 }
 
 impl<A: WireSize, B: WireSize, C: WireSize, D: WireSize> WireSize for (A, B, C, D) {
     fn wire_size(&self) -> usize {
         self.0.wire_size() + self.1.wire_size() + self.2.wire_size() + self.3.wire_size()
-    }
-    fn encoded_size(&self) -> usize {
-        self.0.encoded_size()
-            + self.1.encoded_size()
-            + self.2.encoded_size()
-            + self.3.encoded_size()
     }
 }
 
@@ -112,9 +81,6 @@ impl<T: WireSize> WireSize for std::sync::Arc<T> {
     fn wire_size(&self) -> usize {
         (**self).wire_size()
     }
-    fn encoded_size(&self) -> usize {
-        (**self).encoded_size()
-    }
 }
 
 /// Same charging rule for the loom-shim `Arc` the pool uses under
@@ -123,9 +89,6 @@ impl<T: WireSize> WireSize for std::sync::Arc<T> {
 impl<T: WireSize> WireSize for loom::sync::Arc<T> {
     fn wire_size(&self) -> usize {
         (**self).wire_size()
-    }
-    fn encoded_size(&self) -> usize {
-        (**self).encoded_size()
     }
 }
 

@@ -83,23 +83,6 @@ impl SpeedSchedule {
     }
 }
 
-/// Test-only fault injection: corrupt one rank's ghost delta receive
-/// channel (neighbour index `nbr`) until a desync fires once, exercising
-/// the degrade-and-resync path end to end. `None` in production.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DesyncInject {
-    /// Rank whose receive channel is corrupted.
-    pub rank: usize,
-    /// Index into that rank's ascending neighbour list.
-    pub nbr: usize,
-    /// How many desyncs to force, back to back (a "resync storm"). Each
-    /// corruption fires on the first delta frame after the previous
-    /// resync completes, so `times` mismatches degrade exactly `times`
-    /// steps. 0 is treated as 1.
-    pub times: u32,
-}
-
 /// Initial particle placement.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Lattice {
@@ -202,14 +185,6 @@ pub struct RunConfig {
     /// to the last checkpoint. Like checkpointing, the sentinel gather is
     /// excluded from the per-step stats, so it never perturbs `t_step`.
     pub sentinel_interval: u64,
-    /// Delta-encode ghost shell frames against the previous step's frame
-    /// per (neighbour, direction). The sender ships whichever encoding is
-    /// smaller per frame (a redrawn shell degrades to a full frame), and
-    /// always sends full on an invalid channel (startup, restore,
-    /// takeover epoch bump). Affects only the actual bytes on the wire
-    /// (`bytes_on_wire` counters); the cost model charges the canonical
-    /// content-based size either way, so digests are identical on and off.
-    pub delta_ghosts: bool,
     /// Heterogeneous-machine emulation: per-PE speed factors, optionally
     /// drifting over time (see [`SpeedSchedule`]). `None` (the default)
     /// models the paper's dedicated equal-speed T3E CPUs. With a schedule
@@ -226,9 +201,6 @@ pub struct RunConfig {
     /// (reporting still shows time), which is the baseline the bench
     /// compares against. No effect without a schedule.
     pub speed_aware: bool,
-    /// Test-only ghost-desync fault injection; `None` in production.
-    #[doc(hidden)]
-    pub ghost_desync_inject: Option<DesyncInject>,
     /// Message-layer configuration: poll/watchdog deadlines, retry and
     /// retransmission budgets, failure-detector horizons, and — for chaos
     /// runs — a seeded lossy-transport profile. The default preserves the
@@ -277,10 +249,8 @@ impl RunConfig {
             checkpoint_interval: 0,
             overlap: true,
             sentinel_interval: 0,
-            delta_ghosts: true,
             speed: None,
             speed_aware: false,
-            ghost_desync_inject: None,
             comm: CommConfig::default(),
             skin: 0.0,
             verlet: false,

@@ -32,7 +32,7 @@ use pcdlb_mp::{collectives, BufferPool, Comm, CostModel, Torus3d, World};
 
 use crate::clock::WallTimer;
 use crate::config::{LoadMetric, RunConfig};
-use crate::frame::{DeltaChannel, GhostShellFrame};
+use crate::frame::{GhostPart, GhostShellFrame};
 use crate::pe::initial_particles;
 use crate::report::{RunReport, StepRecord};
 use crate::stats::StatsPacket;
@@ -199,13 +199,6 @@ struct CubePe {
     forces: Vec<Vec<Vec3>>,
     /// Pooled ghost-frame send buffers, reused across steps.
     ghost_pool: BufferPool<GhostShellFrame>,
-    /// Per-direction ghost delta channels (parallel to `DIRS26`), send
-    /// and receive sides. DDM-only: no ownership moves, so the channels
-    /// stay valid after the first full frame.
-    tx_chan: Vec<DeltaChannel>,
-    rx_chan: Vec<DeltaChannel>,
-    /// Retained delta-decode output scratch.
-    decode_scratch: Vec<(u64, Vec3)>,
     /// Per-halo-cell claim stamps for the receive scatter (`1 + dir`):
     /// on a `k = 2` torus the same canonical cell arrives from several
     /// directions with identical content, so the first direction to
@@ -257,9 +250,6 @@ impl CubePe {
             cells: vec![Vec::new(); halo],
             forces: vec![Vec::new(); s * s * s],
             ghost_pool: BufferPool::new(),
-            tx_chan: (0..26).map(|_| DeltaChannel::default()).collect(),
-            rx_chan: (0..26).map(|_| DeltaChannel::default()).collect(),
-            decode_scratch: Vec::new(),
             halo_seen: vec![0; halo],
             tracker: DispTracker::new(),
             rebuild_now: true,
@@ -487,10 +477,9 @@ impl CubePe {
     }
 
     /// Phase 3: ghost exchange with all 26 neighbours. Each direction
-    /// ships a boundary-shell [`GhostShellFrame`] of `(id, pos)` pairs —
-    /// no block directory, no velocities, nothing for empty cells — and
-    /// delta-encodes against the previous step's frame on its own
-    /// [`DeltaChannel`]. The receiver re-bins each ghost by its position
+    /// ships a boundary-shell [`GhostShellFrame`] of id-sorted `(id, pos)`
+    /// pairs — no block directory, no velocities, nothing for empty
+    /// cells. The receiver re-bins each ghost by its position
     /// (the same `axis_bin` the sender binned it with, so the mapping is
     /// exact) and re-derives the halo slot via `local_of_global`.
     fn exchange_ghosts(&mut self, comm: &mut Comm, rebuild: bool) {
@@ -515,7 +504,6 @@ impl CubePe {
             self.halo_seen.iter_mut().for_each(|x| *x = 0);
         }
 
-        let delta_ok = self.cfg.delta_ghosts;
         let k = self.torus;
         for (di, d) in DIRS26.iter().enumerate() {
             // Slab of own cells the neighbour in direction d needs.
@@ -529,19 +517,14 @@ impl CubePe {
             let w = s + 2;
             let halo_at =
                 |l: (i64, i64, i64)| (((l.0 + 1) * w + (l.1 + 1)) * w + (l.2 + 1)) as usize;
-            let chan = &mut self.tx_chan[di];
-            for i in range1(d.0) {
-                for j in range1(d.1) {
-                    for l in range1(d.2) {
-                        let idx = halo_at((i, j, l));
-                        chan.scratch
-                            .extend(self.cells[idx].iter().map(|q| (q.id, q.pos)));
-                    }
-                }
-            }
             let mut buf = self.ghost_pool.checkout();
             let frame = Arc::get_mut(&mut buf).expect("fresh pool checkout is uniquely owned");
-            chan.encode_into(delta_ok, frame);
+            let cells = &self.cells;
+            frame.fill(range1(d.0).flat_map(|i| {
+                range1(d.1).flat_map(move |j| {
+                    range1(d.2).map(move |l| cells[halo_at((i, j, l))].as_slice())
+                })
+            }));
             let peer = k.neighbor(self.rank, d.0, d.1, d.2);
             comm.send(peer, tags::GHOST_BASE + di as u64, Arc::clone(&buf));
             self.ghost_pool.checkin(buf);
@@ -551,19 +534,14 @@ impl CubePe {
             let peer = k.neighbor(self.rank, d.0, d.1, d.2);
             let opp = dir_index((-d.0, -d.1, -d.2));
             let frame: Arc<GhostShellFrame> = comm.recv(peer, tags::GHOST_BASE + opp);
-            // The cube baseline has no degraded path: a desync here is a
-            // protocol bug, not a recoverable runtime condition.
-            self.rx_chan[di]
-                .decode_into(&frame, &mut self.decode_scratch)
-                .expect("cube ghost streams never desynchronise");
             if !rebuild {
                 // Frozen epoch: same ids in the same frame order (the
                 // sender's boundary cells are frozen too) — refresh the
                 // claimed ghosts' positions in place through the routes
                 // recorded at the last rebuild.
-                debug_assert_eq!(self.decode_scratch.len(), self.ghost_routes[di].len());
-                for (&(id, pos), &(idx, slot)) in
-                    self.decode_scratch.iter().zip(&self.ghost_routes[di])
+                debug_assert_eq!(frame.parts.len(), self.ghost_routes[di].len());
+                for (&GhostPart { id, pos }, &(idx, slot)) in
+                    frame.parts.iter().zip(&self.ghost_routes[di])
                 {
                     if idx == SKIP {
                         continue;
@@ -577,7 +555,7 @@ impl CubePe {
             if record_routes {
                 self.ghost_routes[di].clear();
             }
-            for &(id, pos) in &self.decode_scratch {
+            for &GhostPart { id, pos } in &frame.parts {
                 let stored = 'store: {
                     let g = self.global_cell(pos);
                     let Some(nl) = self.local_of_global(g) else {
@@ -590,7 +568,7 @@ impl CubePe {
                     // On a k = 2 torus the same canonical cell arrives from
                     // several directions with identical content; the first
                     // direction to deliver into a slot claims it, so no
-                    // ghost is stored twice. Decode order is ascending id,
+                    // ghost is stored twice. Frame order is ascending id,
                     // so each claimed cell ends id-sorted — the same order
                     // the block frames used to deliver.
                     let claim = di as u8 + 1;
@@ -1080,7 +1058,6 @@ fn run_cube_inner(cfg: &RunConfig, want_snapshot: bool) -> (RunReport, Option<Ve
                 comm_virtual_s: 0.0,
                 msgs_sent: 0,
                 bytes_sent: 0,
-                ghost_desyncs: 0,
                 retransmits: 0,
                 suspicions: 0,
                 wall_s: run_start.elapsed_s(),

@@ -55,7 +55,6 @@ pub(crate) fn assemble(mut results: Vec<PeResult>) -> (RunReport, Option<Vec<Par
     let comm_virtual: f64 = results.iter().map(|r| r.comm_stats.virtual_comm_s).sum();
     let msgs: u64 = results.iter().map(|r| r.comm_stats.msgs_sent).sum();
     let bytes: u64 = results.iter().map(|r| r.comm_stats.bytes_sent).sum();
-    let desyncs: u64 = results.iter().map(|r| r.ghost_desyncs).sum();
     let retransmits: u64 = results.iter().map(|r| r.comm_stats.retransmits).sum();
     let suspicions: u64 = results.iter().map(|r| r.comm_stats.suspicions).sum();
     let rank0 = results.swap_remove(0);
@@ -63,7 +62,6 @@ pub(crate) fn assemble(mut results: Vec<PeResult>) -> (RunReport, Option<Vec<Par
     report.comm_virtual_s = comm_virtual;
     report.msgs_sent = msgs;
     report.bytes_sent = bytes;
-    report.ghost_desyncs = desyncs;
     report.retransmits = retransmits;
     report.suspicions = suspicions;
     (report, rank0.snapshot)

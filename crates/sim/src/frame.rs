@@ -14,47 +14,17 @@
 //! presence headers say which sections are populated, and per-(src, dst,
 //! tag) FIFO ordering keeps the rounds matched.
 //!
-//! # Ghost shell frames and delta encoding
+//! # Ghost shell frames
 //!
 //! Ghosts ship as `(id, position)` pairs only ([`GhostPart`], 32 bytes):
 //! force evaluation never reads a ghost's velocity, so the 24 velocity
 //! bytes of a full `Particle` never cross the wire. There is no column or
 //! block directory either — the receiver re-bins each ghost by its
 //! position, which also makes empty-cell traffic vanish structurally.
+//! A [`GhostShellFrame`] holds the whole shell, ascending id, and costs
+//! `1 + 8 + 32·n` bytes: a format byte, the length prefix, and the pairs.
 //!
-//! Between steps, shell membership is mostly stable and positions move by
-//! ~`dt·v`, so a [`DeltaChannel`] pairs each (neighbour, direction) with
-//! its previous frame and sends the diff: a survival bitmap over the
-//! previous membership (ascending id), the survivors' new positions (24
-//! bytes each), and the arrivals (32 bytes each). The sender computes
-//! both encodings' exact sizes and ships whichever is smaller, so a
-//! membership discontinuity (a DLB transfer redrawing the shell, a
-//! moving plane boundary) degrades to a full frame instead of a bloated
-//! delta; an invalid channel — at startup, after a restore, or when the
-//! takeover epoch advanced — always sends full. A frame is
-//! self-describing (`delta` flag), so only the sender needs this logic;
-//! the receiver checks an FNV fingerprint of the membership it holds
-//! against the one the delta was computed from, and a mismatch is a
-//! structured [`DesyncError`] — the channel resets itself and the caller
-//! chooses how to recover. The torus protocol in [`crate::pe`] degrades:
-//! it drops that neighbour's ghosts for one step and raises the `resync`
-//! bit in its next round-1 [`StepFrame`], which makes the peer reset its
-//! send channel so the very next ghost frame arrives full and the stream
-//! is clean again. One desynced channel costs one degraded step on one
-//! rank instead of killing the world.
-//!
-//! # Canonical vs encoded bytes
-//!
-//! [`WireSize::wire_size`] — what the interconnect cost model charges —
-//! is *content-based*: `1 + 8 + 32·n` for a shell frame holding `n`
-//! ghosts, whether it travels as a delta or as a full frame. Virtual
-//! time feeds `t_step` and the run digests, and fallbacks fire on
-//! non-deterministic events (takeovers), so charging the actual encoding
-//! would break bitwise reproducibility. The actual layout size is
-//! reported separately through [`WireSize::encoded_size`], which feeds
-//! the `bytes_on_wire` counters only.
-//!
-//! `wire_check.rs` pins both layouts against a reference encoder.
+//! `wire_check.rs` pins every layout against a reference encoder.
 
 use pcdlb_md::{Particle, Vec3};
 use pcdlb_mp::WireSize;
@@ -76,301 +46,32 @@ impl WireSize for GhostPart {
     }
 }
 
-/// FNV-1a over a membership list — the fingerprint a delta frame carries
-/// so the receiver can prove its previous frame matches the sender's.
-fn fnv_ids(ids: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &id in ids {
-        for b in id.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
-}
-
-/// A delta ghost frame arrived on a channel whose previous membership
-/// does not match the one the delta was computed from. The decode side
-/// resets its channel before returning this, so the stream recovers as
-/// soon as the sender falls back to a full frame (which the torus
-/// protocol requests via the round-1 `resync` bit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DesyncError {
-    /// The membership sizes disagree (or the channel held no previous
-    /// frame at all): `have` ids locally vs the `framed` count the delta
-    /// was diffed against.
-    Membership {
-        /// Ids held on the receive channel.
-        have: usize,
-        /// `prev_len` the frame carried.
-        framed: u32,
-    },
-    /// Sizes agree but the FNV-1a fingerprints differ: same-length
-    /// memberships with different ids.
-    Fingerprint {
-        /// Fingerprint of the locally held membership.
-        have: u64,
-        /// `prev_check` the frame carried.
-        framed: u64,
-    },
-}
-
-impl std::fmt::Display for DesyncError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            DesyncError::Membership { have, framed } => write!(
-                f,
-                "delta ghost frame against a desynchronised channel \
-                 (have {have} previous ids, frame diffed {framed})"
-            ),
-            DesyncError::Fingerprint { have, framed } => write!(
-                f,
-                "delta ghost frame fingerprint mismatch \
-                 (have {have:#018x}, frame diffed {framed:#018x})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for DesyncError {}
-
-/// One boundary-shell ghost shipment: either the full `(id, pos)` list or
-/// a delta against the previous frame on the same [`DeltaChannel`].
+/// One boundary-shell ghost shipment: the full `(id, pos)` list.
 #[derive(Debug, Clone, Default)]
 pub struct GhostShellFrame {
-    /// `false`: `full` is populated. `true`: the delta sections are.
-    pub delta: bool,
-    /// Full frame: the shell content, ascending id.
-    pub full: Vec<GhostPart>,
-    /// Delta: size of the previous membership the diff was computed from.
-    pub prev_len: u32,
-    /// Delta: FNV-1a fingerprint of that membership.
-    pub prev_check: u64,
-    /// Delta: survival bitmap over the previous membership, ascending id,
-    /// bit `i` of byte `i / 8` = previous id `i` is still in the shell.
-    pub survive: Vec<u8>,
-    /// Delta: survivors' new positions, in previous-membership order.
-    pub moved: Vec<Vec3>,
-    /// Delta: ghosts not in the previous membership, ascending id.
-    pub arrivals: Vec<GhostPart>,
+    /// The shell content, ascending id.
+    pub parts: Vec<GhostPart>,
 }
 
 impl GhostShellFrame {
-    /// Empty every section, keeping capacity.
-    pub fn clear(&mut self) {
-        self.delta = false;
-        self.full.clear();
-        self.prev_len = 0;
-        self.prev_check = 0;
-        self.survive.clear();
-        self.moved.clear();
-        self.arrivals.clear();
-    }
-
-    /// Number of ghosts the decoded frame holds.
-    pub fn content_len(&self) -> usize {
-        if self.delta {
-            self.moved.len() + self.arrivals.len()
-        } else {
-            self.full.len()
+    /// Refill the frame with the `(id, pos)` pairs of `cells`, ascending
+    /// id, keeping capacity.
+    pub fn fill<'a>(&mut self, cells: impl IntoIterator<Item = &'a [Particle]>) {
+        self.parts.clear();
+        for cell in cells {
+            self.parts.extend(cell.iter().map(|p| GhostPart {
+                id: p.id,
+                pos: p.pos,
+            }));
         }
+        self.parts.sort_unstable_by_key(|g| g.id);
     }
 }
 
 impl WireSize for GhostShellFrame {
     fn wire_size(&self) -> usize {
-        // Canonical (content-based): delta flag + length-prefixed flat
-        // `(id, pos)` list, regardless of how the frame is encoded.
-        1 + 8 + 32 * self.content_len()
-    }
-
-    fn encoded_size(&self) -> usize {
-        if self.delta {
-            // flag + prev_len + prev_check + bitmap + survivor positions
-            // + arrivals (each section length-prefixed).
-            1 + 4
-                + 8
-                + (8 + self.survive.len())
-                + (8 + 24 * self.moved.len())
-                + (8 + 32 * self.arrivals.len())
-        } else {
-            1 + 8 + 32 * self.full.len()
-        }
-    }
-}
-
-/// Sender- or receiver-side state of one delta stream: the membership of
-/// the previous frame, kept in ascending id order. One channel per
-/// (neighbour, direction); symmetric on both ends because every frame
-/// deterministically updates it.
-#[derive(Debug, Default)]
-pub struct DeltaChannel {
-    /// False until the first frame after construction/reset: the next
-    /// encode must produce a full frame.
-    valid: bool,
-    /// Takeover epoch the channel state belongs to.
-    epoch: u64,
-    /// Previous frame's membership, ascending id.
-    ids: Vec<u64>,
-    /// Encode-side staging: callers push the current shell content here
-    /// (any order) before [`DeltaChannel::encode_into`].
-    pub scratch: Vec<(u64, Vec3)>,
-}
-
-impl DeltaChannel {
-    /// Forget the previous frame; the next encode sends a full frame.
-    pub fn reset(&mut self) {
-        self.valid = false;
-        self.ids.clear();
-    }
-
-    /// Reset the channel if the takeover epoch moved (the peer's channel
-    /// state may have been rebuilt from a checkpoint).
-    pub fn sync_epoch(&mut self, epoch: u64) {
-        if self.epoch != epoch {
-            self.epoch = epoch;
-            self.reset();
-        }
-    }
-
-    /// Encode the staged `scratch` content into `frame` — as a delta
-    /// against the previous frame or as a full frame, whichever is
-    /// smaller on the wire — then roll the channel forward. An invalid
-    /// channel (startup, restore, takeover epoch bump) or `!delta_ok`
-    /// always produces a full frame. `scratch` is sorted in place and
-    /// drained.
-    pub fn encode_into(&mut self, delta_ok: bool, frame: &mut GhostShellFrame) {
-        frame.clear();
-        self.scratch.sort_unstable_by_key(|e| e.0);
-        debug_assert!(
-            self.scratch.windows(2).all(|w| w[0].0 < w[1].0),
-            "duplicate ghost id staged on a delta channel"
-        );
-        // Min-size choice: a merge walk over the two sorted id lists
-        // counts survivors, which fixes both encodings' exact sizes. A
-        // membership discontinuity (a DLB transfer redrew the shell)
-        // simply makes the full frame win — no reset plumbing needed,
-        // since the frame is self-describing either way.
-        let use_delta = delta_ok && self.valid && {
-            let mut survivors = 0usize;
-            let mut j = 0usize;
-            for &id in &self.ids {
-                while j < self.scratch.len() && self.scratch[j].0 < id {
-                    j += 1;
-                }
-                if j < self.scratch.len() && self.scratch[j].0 == id {
-                    survivors += 1;
-                }
-            }
-            let arrivals = self.scratch.len() - survivors;
-            let delta_size = 37 + self.ids.len().div_ceil(8) + 24 * survivors + 32 * arrivals;
-            let full_size = 9 + 32 * self.scratch.len();
-            delta_size < full_size
-        };
-        if use_delta {
-            frame.delta = true;
-            frame.prev_len = self.ids.len() as u32;
-            frame.prev_check = fnv_ids(&self.ids);
-            let mut byte = 0u8;
-            for (i, &id) in self.ids.iter().enumerate() {
-                if let Ok(k) = self.scratch.binary_search_by_key(&id, |e| e.0) {
-                    byte |= 1 << (i % 8);
-                    frame.moved.push(self.scratch[k].1);
-                }
-                if i % 8 == 7 {
-                    frame.survive.push(byte);
-                    byte = 0;
-                }
-            }
-            if !self.ids.is_empty() && !self.ids.len().is_multiple_of(8) {
-                frame.survive.push(byte);
-            }
-            for &(id, pos) in &self.scratch {
-                if self.ids.binary_search(&id).is_err() {
-                    frame.arrivals.push(GhostPart { id, pos });
-                }
-            }
-        } else {
-            frame.delta = false;
-            frame
-                .full
-                .extend(self.scratch.iter().map(|&(id, pos)| GhostPart { id, pos }));
-        }
-        self.ids.clear();
-        self.ids.extend(self.scratch.iter().map(|e| e.0));
-        self.valid = true;
-        self.scratch.clear();
-    }
-
-    /// Decode `frame` into `out` as `(id, pos)` in ascending id order,
-    /// then roll the channel forward. A delta frame arriving on a channel
-    /// whose previous membership does not match the one the delta was
-    /// computed from is a [`DesyncError`]: the channel resets itself,
-    /// `out` is left empty, and the caller decides how to recover (the
-    /// torus protocol skips the neighbour's ghosts for one step and
-    /// requests a full-frame resync; full frames always decode, so the
-    /// stream heals as soon as one arrives).
-    pub fn decode_into(
-        &mut self,
-        frame: &GhostShellFrame,
-        out: &mut Vec<(u64, Vec3)>,
-    ) -> Result<(), DesyncError> {
-        out.clear();
-        if frame.delta {
-            if !self.valid || self.ids.len() != frame.prev_len as usize {
-                let err = DesyncError::Membership {
-                    have: self.ids.len(),
-                    framed: frame.prev_len,
-                };
-                self.reset();
-                return Err(err);
-            }
-            let have = fnv_ids(&self.ids);
-            if have != frame.prev_check {
-                let err = DesyncError::Fingerprint {
-                    have,
-                    framed: frame.prev_check,
-                };
-                self.reset();
-                return Err(err);
-            }
-            let mut mi = 0usize;
-            let mut ai = 0usize;
-            for (i, &id) in self.ids.iter().enumerate() {
-                if frame.survive[i / 8] >> (i % 8) & 1 == 1 {
-                    while ai < frame.arrivals.len() && frame.arrivals[ai].id < id {
-                        out.push((frame.arrivals[ai].id, frame.arrivals[ai].pos));
-                        ai += 1;
-                    }
-                    out.push((id, frame.moved[mi]));
-                    mi += 1;
-                }
-            }
-            while ai < frame.arrivals.len() {
-                out.push((frame.arrivals[ai].id, frame.arrivals[ai].pos));
-                ai += 1;
-            }
-            debug_assert_eq!(mi, frame.moved.len());
-        } else {
-            out.extend(frame.full.iter().map(|g| (g.id, g.pos)));
-        }
-        self.ids.clear();
-        self.ids.extend(out.iter().map(|e| e.0));
-        self.valid = true;
-        Ok(())
-    }
-
-    /// Test hook: corrupt the channel's previous-membership record so the
-    /// next delta decode fails the fingerprint check. Used by the desync
-    /// negative tests; never called on a healthy path.
-    #[doc(hidden)]
-    pub fn poison_membership(&mut self) {
-        if let Some(last) = self.ids.last_mut() {
-            *last ^= 1;
-        } else {
-            self.ids.push(u64::MAX);
-            self.valid = true;
-        }
+        // Format byte + length-prefixed flat `(id, pos)` list.
+        1 + 8 + 32 * self.parts.len()
     }
 }
 
@@ -396,12 +97,6 @@ impl WireSize for ParticleFrame {
 pub struct StepFrame {
     /// Round-1 marker: the migrant section travels.
     pub has_migrants: bool,
-    /// Round-1 ghost-resync request: the receiver of the *previous* ghost
-    /// frame on this neighbour pair hit a [`DesyncError`] and asks the
-    /// sender to reset its delta channel, so this step's round-2 frame
-    /// arrives full. Rides bit 1 of the round-1 presence header byte —
-    /// zero extra wire bytes, and never set on a healthy stream.
-    pub resync: bool,
     /// Particles that crossed into the destination's columns, id-sorted.
     pub migrants: ParticleFrame,
     /// Sender's last-step load; `Some` only in round 1 of a DLB step.
@@ -416,21 +111,19 @@ impl StepFrame {
     /// Reshape a pooled frame for round 1, keeping buffer capacity.
     pub fn begin_round1(&mut self, load: Option<f64>) {
         self.has_migrants = true;
-        self.resync = false;
         self.migrants.parts.clear();
         self.load = load;
         self.has_ghosts = false;
-        self.ghosts.clear();
+        self.ghosts.parts.clear();
     }
 
     /// Reshape a pooled frame for round 2, keeping buffer capacity.
     pub fn begin_round2(&mut self) {
         self.has_migrants = false;
-        self.resync = false;
         self.migrants.parts.clear();
         self.load = None;
         self.has_ghosts = true;
-        self.ghosts.clear();
+        self.ghosts.parts.clear();
     }
 }
 
@@ -449,221 +142,33 @@ impl WireSize for StepFrame {
         };
         1 + m + self.load.wire_size() + 1 + g
     }
-
-    fn encoded_size(&self) -> usize {
-        let m = if self.has_migrants {
-            self.migrants.encoded_size()
-        } else {
-            0
-        };
-        let g = if self.has_ghosts {
-            self.ghosts.encoded_size()
-        } else {
-            0
-        };
-        1 + m + self.load.wire_size() + 1 + g
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn shell(n: usize, off: f64) -> Vec<(u64, Vec3)> {
-        (0..n)
-            .map(|i| (i as u64 * 3, Vec3::new(i as f64 + off, off, 0.0)))
-            .collect()
-    }
-
-    #[test]
-    fn full_frame_roundtrip_on_fresh_channels() {
-        let mut tx = DeltaChannel::default();
-        let mut rx = DeltaChannel::default();
-        let mut frame = GhostShellFrame::default();
-        let content = shell(5, 0.0);
-        tx.scratch.extend(content.iter().copied());
-        tx.encode_into(true, &mut frame);
-        assert!(!frame.delta, "fresh channel must send a full frame");
-        assert_eq!(frame.wire_size(), frame.encoded_size());
-        let mut out = Vec::new();
-        rx.decode_into(&frame, &mut out).expect("in sync");
-        assert_eq!(out, content);
-    }
-
-    #[test]
-    fn delta_roundtrip_with_moves_departures_and_arrivals() {
-        let mut tx = DeltaChannel::default();
-        let mut rx = DeltaChannel::default();
-        let mut frame = GhostShellFrame::default();
-        let mut out = Vec::new();
-        tx.scratch.extend(shell(10, 0.0));
-        tx.encode_into(true, &mut frame);
-        rx.decode_into(&frame, &mut out).expect("in sync");
-        // Step 2: ids 0,3,…,27 shift; id 0 departs; ids 1 and 50 arrive.
-        let mut next: Vec<(u64, Vec3)> = shell(10, 0.25)[1..].to_vec();
-        next.push((1, Vec3::new(9.0, 9.0, 9.0)));
-        next.push((50, Vec3::new(2.0, 2.0, 2.0)));
-        tx.scratch.extend(next.iter().copied());
-        tx.encode_into(true, &mut frame);
-        assert!(frame.delta);
-        assert_eq!(frame.moved.len(), 9);
-        assert_eq!(frame.arrivals.len(), 2);
-        // The delta is smaller on the wire than the canonical full frame.
-        assert!(frame.encoded_size() < frame.wire_size());
-        rx.decode_into(&frame, &mut out).expect("in sync");
-        next.sort_unstable_by_key(|e| e.0);
-        assert_eq!(out, next);
-    }
-
-    #[test]
-    fn empty_shells_ship_as_minimal_full_frames() {
-        // An empty-to-empty delta would cost 37 bytes of section headers;
-        // the min-size choice ships the 9-byte empty full frame instead.
-        let mut tx = DeltaChannel::default();
-        let mut rx = DeltaChannel::default();
-        let mut frame = GhostShellFrame::default();
-        let mut out = Vec::new();
-        tx.encode_into(true, &mut frame);
-        rx.decode_into(&frame, &mut out).expect("in sync");
-        tx.encode_into(true, &mut frame);
-        assert!(!frame.delta, "empty delta loses to empty full on size");
-        assert_eq!(frame.encoded_size(), 9);
-        rx.decode_into(&frame, &mut out).expect("in sync");
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn total_turnover_ships_full_not_bloated_delta() {
-        // Disjoint membership: every previous ghost departs, every new
-        // one arrives. The delta (bitmap + 32-byte arrivals) would exceed
-        // the full frame, so the sender must pick full.
-        let mut tx = DeltaChannel::default();
-        let mut rx = DeltaChannel::default();
-        let mut frame = GhostShellFrame::default();
-        let mut out = Vec::new();
-        tx.scratch.extend(shell(8, 0.0));
-        tx.encode_into(true, &mut frame);
-        rx.decode_into(&frame, &mut out).expect("in sync");
-        let next: Vec<(u64, Vec3)> = (0..8)
-            .map(|i| (i as u64 * 3 + 1, Vec3::new(i as f64, 1.0, 2.0)))
-            .collect();
-        tx.scratch.extend(next.iter().copied());
-        tx.encode_into(true, &mut frame);
-        assert!(!frame.delta, "total turnover must fall back to full");
-        rx.decode_into(&frame, &mut out).expect("in sync");
-        assert_eq!(out, next);
-    }
-
-    #[test]
-    fn reset_forces_full_fallback() {
-        // The DLB-ownership-move fallback: an invalidated channel resends
-        // a full frame and the receiver resynchronises off it.
-        let mut tx = DeltaChannel::default();
-        let mut rx = DeltaChannel::default();
-        let mut frame = GhostShellFrame::default();
-        let mut out = Vec::new();
-        tx.scratch.extend(shell(4, 0.0));
-        tx.encode_into(true, &mut frame);
-        rx.decode_into(&frame, &mut out).expect("in sync");
-        tx.reset();
-        let content = shell(6, 0.5);
-        tx.scratch.extend(content.iter().copied());
-        tx.encode_into(true, &mut frame);
-        assert!(!frame.delta, "reset channel must fall back to full");
-        rx.decode_into(&frame, &mut out).expect("in sync");
-        assert_eq!(out, content);
-    }
-
-    #[test]
-    fn epoch_bump_forces_full_fallback() {
-        let mut tx = DeltaChannel::default();
-        let mut frame = GhostShellFrame::default();
-        tx.sync_epoch(0);
-        tx.scratch.extend(shell(4, 0.0));
-        tx.encode_into(true, &mut frame);
-        tx.sync_epoch(1); // takeover epoch advanced
-        tx.scratch.extend(shell(4, 0.1));
-        tx.encode_into(true, &mut frame);
-        assert!(!frame.delta, "epoch bump must fall back to full");
-        tx.sync_epoch(1); // same epoch: no reset
-        tx.scratch.extend(shell(4, 0.2));
-        tx.encode_into(true, &mut frame);
-        assert!(frame.delta);
-    }
-
-    #[test]
-    fn delta_disabled_always_sends_full() {
-        let mut tx = DeltaChannel::default();
-        let mut frame = GhostShellFrame::default();
-        for k in 0..3 {
-            tx.scratch.extend(shell(4, k as f64 * 0.1));
-            tx.encode_into(false, &mut frame);
-            assert!(!frame.delta);
-        }
-    }
-
-    #[test]
-    fn delta_against_wrong_membership_is_a_structured_error_and_resyncs() {
-        let mut tx = DeltaChannel::default();
-        let mut rx = DeltaChannel::default();
-        let mut frame = GhostShellFrame::default();
-        let mut out = Vec::new();
-        tx.scratch.extend(shell(4, 0.0));
-        tx.encode_into(true, &mut frame);
-        rx.decode_into(&frame, &mut out).expect("in sync");
-        // Receiver's membership record diverges (simulated corruption):
-        // same length, different ids, so the fingerprint catches it.
-        rx.poison_membership();
-        tx.scratch.extend(shell(4, 0.1));
-        tx.encode_into(true, &mut frame);
-        assert!(frame.delta, "stable shell must have shipped a delta");
-        let err = rx
-            .decode_into(&frame, &mut out)
-            .expect_err("fingerprint must catch the corruption");
-        assert!(matches!(err, DesyncError::Fingerprint { .. }), "{err}");
-        assert!(err.to_string().contains("fingerprint mismatch"), "{err}");
-        assert!(out.is_empty(), "a failed decode must deliver nothing");
-        // The failed decode reset the receive channel, so the next delta
-        // is a Membership error (no previous frame held at all)...
-        let err = rx
-            .decode_into(&frame, &mut out)
-            .expect_err("reset channel cannot take a delta");
-        assert!(
-            matches!(err, DesyncError::Membership { have: 0, .. }),
-            "{err}"
-        );
-        assert!(err.to_string().contains("desynchronised"), "{err}");
-        // ...and a full frame (what the resync request elicits from the
-        // sender) heals the stream completely.
-        tx.reset();
-        let content = shell(4, 0.2);
-        tx.scratch.extend(content.iter().copied());
-        tx.encode_into(true, &mut frame);
-        assert!(!frame.delta, "reset sender must fall back to full");
-        rx.decode_into(&frame, &mut out)
-            .expect("full frame resyncs");
-        assert_eq!(out, content);
-        // Back in steady state: deltas flow again.
-        tx.scratch.extend(shell(4, 0.3));
-        tx.encode_into(true, &mut frame);
-        assert!(frame.delta);
-        rx.decode_into(&frame, &mut out).expect("in sync again");
-    }
-
     #[test]
     fn shell_frame_canonical_size_is_content_based() {
-        let mut tx = DeltaChannel::default();
         let mut frame = GhostShellFrame::default();
-        tx.scratch.extend(shell(7, 0.0));
-        tx.encode_into(true, &mut frame);
-        let full_wire = frame.wire_size();
-        assert_eq!(full_wire, 1 + 8 + 32 * 7);
-        tx.scratch.extend(shell(7, 0.5));
-        tx.encode_into(true, &mut frame);
-        assert!(frame.delta);
-        // Same content count ⇒ same canonical size, different encoding.
-        assert_eq!(frame.wire_size(), full_wire);
-        assert_eq!(frame.encoded_size(), 1 + 4 + 8 + (8 + 1) + (8 + 24 * 7) + 8);
+        assert_eq!(frame.wire_size(), 1 + 8);
+        let cell = |ids: &[u64]| -> Vec<Particle> {
+            ids.iter()
+                .map(|&id| Particle::at_rest(id, Vec3::new(id as f64, 0.0, 0.0)))
+                .collect()
+        };
+        let (a, b) = (cell(&[9, 3, 15]), cell(&[0, 12, 6, 18]));
+        frame.fill([a.as_slice(), b.as_slice()]);
+        assert_eq!(frame.wire_size(), 1 + 8 + 32 * 7);
+        let ids: Vec<u64> = frame.parts.iter().map(|g| g.id).collect();
+        assert_eq!(
+            ids,
+            [0, 3, 6, 9, 12, 15, 18],
+            "shell frames ship ascending id"
+        );
+        // A refill replaces the content.
+        frame.fill([b.as_slice()]);
+        assert_eq!(frame.wire_size(), 1 + 8 + 32 * 4);
     }
 
     #[test]
@@ -679,6 +184,5 @@ mod tests {
         assert_eq!(f.wire_size(), 1 + 8 + 56 + 9 + 1);
         f.begin_round2();
         assert_eq!(f.wire_size(), 1 + 1 + 1 + (1 + 8));
-        assert_eq!(f.wire_size(), f.encoded_size());
     }
 }

@@ -37,7 +37,7 @@ use pcdlb_mp::{collectives, BufferPool, Comm, CostModel, World};
 
 use crate::clock::WallTimer;
 use crate::config::{LoadMetric, RunConfig};
-use crate::frame::{DeltaChannel, GhostShellFrame};
+use crate::frame::{GhostPart, GhostShellFrame};
 use crate::pe::initial_particles;
 use crate::report::{RunReport, StepRecord};
 use crate::stats::StatsPacket;
@@ -154,12 +154,6 @@ struct PlanePe {
     ghosts: BTreeMap<usize, CellSlab>,
     /// Pooled boundary-shell ghost send buffers.
     ghost_pool: BufferPool<GhostShellFrame>,
-    /// Delta streams for the two outgoing ghost directions (up, down).
-    tx_chan: [DeltaChannel; 2],
-    /// Delta streams for the two incoming ghost directions (up, down).
-    rx_chan: [DeltaChannel; 2],
-    /// Decoded `(id, pos)` ghosts, reused across steps.
-    decode_scratch: Vec<(u64, Vec3)>,
     /// Displacement tracker driving the skin-epoch rebuild schedule.
     tracker: DispTracker,
     /// Whether the current step re-binds the world (always `true` with
@@ -203,9 +197,6 @@ impl PlanePe {
             forces: Vec::new(),
             ghosts: BTreeMap::new(),
             ghost_pool: BufferPool::new(),
-            tx_chan: [DeltaChannel::default(), DeltaChannel::default()],
-            rx_chan: [DeltaChannel::default(), DeltaChannel::default()],
-            decode_scratch: Vec::new(),
             tracker: DispTracker::new(),
             rebuild_now: true,
             soa: SoaField::new(),
@@ -393,7 +384,6 @@ impl PlanePe {
 
         let gain = self.cfg.dlb_min_gain.max(0.0);
         let heavier = |a: f64, b: f64| a > b * (1.0 + gain) && a > b;
-        let (old_lo, old_hi) = (self.lo, self.hi);
         let mut sent = 0u64;
 
         // Boundary at my `lo` (index = rank; interior iff rank > 0).
@@ -436,15 +426,6 @@ impl PlanePe {
                 sent += 1;
             }
         }
-        // A boundary move swaps which plane a ghost stream carries —
-        // near-total membership turnover — so restart the affected
-        // streams with a full frame (the receiver resyncs off it).
-        if self.lo != old_lo {
-            self.tx_chan[1].reset();
-        }
-        if self.hi != old_hi {
-            self.tx_chan[0].reset();
-        }
         sent
     }
 
@@ -462,15 +443,15 @@ impl PlanePe {
     }
 
     /// Phase 4: ghost planes from the ring neighbours, shipped as
-    /// boundary-shell [`GhostShellFrame`]s of `(id, pos)` pairs and
-    /// delta-encoded per direction. No plane index travels: slabs are
+    /// boundary-shell [`GhostShellFrame`]s of id-sorted `(id, pos)` pairs.
+    /// No plane index travels: slabs are
     /// contiguous, so the plane a stream carries is always `lo − 1`
     /// (from below) or `hi` (from above), wrapped at the seam.
     ///
     /// On rebuild steps the received planes are re-binned from scratch
-    /// and (with `skin > 0`) the decode-order → slab-slot routes are
+    /// and (with `skin > 0`) the frame-order → slab-slot routes are
     /// recorded; mid-epoch the membership and binning are frozen, so the
-    /// decoded positions are written through those routes in place.
+    /// received positions are written through those routes in place.
     fn exchange_ghosts(&mut self, comm: &mut Comm, rebuild: bool) {
         if rebuild {
             self.ghosts.clear();
@@ -478,20 +459,13 @@ impl PlanePe {
         if self.p < 2 {
             return; // all planes are local
         }
-        let delta_ok = self.cfg.delta_ghosts;
-        for (ci, (cx, dst, tag)) in [
+        for (cx, dst, tag) in [
             (self.hi - 1, self.next(), tags::GHOST_UP),
             (self.lo, self.prev(), tags::GHOST_DOWN),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let chan = &mut self.tx_chan[ci];
-            chan.scratch
-                .extend(self.planes[&cx].particles().iter().map(|q| (q.id, q.pos)));
+        ] {
             let mut buf = self.ghost_pool.checkout();
             let frame = Arc::get_mut(&mut buf).expect("fresh pool checkout is uniquely owned");
-            chan.encode_into(delta_ok, frame);
+            frame.fill([self.planes[&cx].particles()]);
             comm.send(dst, tag, Arc::clone(&buf));
             self.ghost_pool.checkin(buf);
         }
@@ -508,19 +482,16 @@ impl PlanePe {
         .enumerate()
         {
             let frame: Arc<GhostShellFrame> = comm.recv(src, tag);
-            // The plane baseline has no degraded path: a desync here is a
-            // protocol bug, not a recoverable runtime condition.
-            self.rx_chan[ci]
-                .decode_into(&frame, &mut self.decode_scratch)
-                .expect("plane ghost streams never desynchronise");
             if !rebuild {
                 // Frozen epoch: same ids in the same frame order (the
                 // sender's slab is frozen too) — refresh positions in
                 // place through the recorded routes.
                 let slab = self.ghosts.get_mut(&cx).expect("frozen ghost plane");
                 let parts = slab.particles_mut();
-                debug_assert_eq!(self.decode_scratch.len(), self.ghost_routes[ci].len());
-                for (&(id, pos), &slot) in self.decode_scratch.iter().zip(&self.ghost_routes[ci]) {
+                debug_assert_eq!(frame.parts.len(), self.ghost_routes[ci].len());
+                for (&GhostPart { id, pos }, &slot) in
+                    frame.parts.iter().zip(&self.ghost_routes[ci])
+                {
                     let q = &mut parts[slot as usize];
                     debug_assert_eq!(q.id, id, "ghost stream membership changed mid-epoch");
                     q.pos = pos;
@@ -529,10 +500,10 @@ impl PlanePe {
             }
             // Ghost velocities are never read: the force pass only needs
             // positions, and the thermostat/KE sums walk owned planes.
-            let parts: Vec<Particle> = self
-                .decode_scratch
+            let parts: Vec<Particle> = frame
+                .parts
                 .iter()
-                .map(|&(id, pos)| Particle::at_rest(id, pos))
+                .map(|g| Particle::at_rest(g.id, g.pos))
                 .collect();
             debug_assert!(parts.iter().all(|q| self.axis(q.pos.x) == cx));
             let slab = self.build_plane(parts);
@@ -546,10 +517,10 @@ impl PlanePe {
                 by_id.sort_unstable_by_key(|&(id, _)| id);
                 let routes = &mut self.ghost_routes[ci];
                 routes.clear();
-                routes.extend(self.decode_scratch.iter().map(|&(id, _)| {
+                routes.extend(frame.parts.iter().map(|g| {
                     let at = by_id
-                        .binary_search_by_key(&id, |&(i, _)| i)
-                        .expect("decoded ghost is in the rebuilt slab");
+                        .binary_search_by_key(&g.id, |&(i, _)| i)
+                        .expect("received ghost is in the rebuilt slab");
                     by_id[at].1
                 }));
             }
@@ -1036,7 +1007,6 @@ fn run_plane_inner(cfg: &RunConfig, want_snapshot: bool) -> (RunReport, Option<V
                 comm_virtual_s: 0.0,
                 msgs_sent: 0,
                 bytes_sent: 0,
-                ghost_desyncs: 0,
                 retransmits: 0,
                 suspicions: 0,
                 wall_s: run_start.elapsed_s(),

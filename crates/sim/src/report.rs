@@ -100,18 +100,19 @@ impl PhaseTimes {
     }
 }
 
-/// Actual bytes shipped per communication phase, summed over a run, next
-/// to the bytes the same content would have cost as plain full frames.
-/// "Actual" means the current encoding (delta ghost frames, coalesced
-/// step messages, shell-only ghosts); "baseline" reconstructs the pre-diet
-/// layout (full `Particle` ghosts per route column with an 8-byte
-/// per-column header, separate migrate/load messages). The ratio
-/// `ghost_baseline / ghost` is the comm-volume-diet figure of merit.
-/// Deterministic given a deterministic trajectory — unlike [`PhaseTimes`]
-/// these are byte counts, not clocks — so CI can gate on them.
+/// Bytes shipped per communication phase, summed over a run, next to the
+/// bytes the same content would have cost in the pre-diet layout. Shipped
+/// bytes are each message's [`WireSize`](pcdlb_mp::WireSize) — coalesced
+/// step messages, shell-only `(id, pos)` ghosts — which is also what the
+/// cost model charges; "baseline" reconstructs the pre-diet layout (full
+/// `Particle` ghosts per route column with an 8-byte per-column header,
+/// separate migrate/load messages). The ratio `ghost_baseline / ghost`
+/// is the comm-volume-diet figure of merit. Deterministic given a
+/// deterministic trajectory — unlike [`PhaseTimes`] these are byte
+/// counts, not clocks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireBytes {
-    /// Ghost-phase bytes actually shipped (encoded frames).
+    /// Ghost-phase bytes shipped.
     pub ghost: u64,
     /// Ghost-phase bytes under the pre-diet full-frame layout.
     pub ghost_baseline: u64,
@@ -152,9 +153,6 @@ pub struct RunReport {
     pub msgs_sent: u64,
     /// Total bytes sent across all PEs (wire-size accounting).
     pub bytes_sent: u64,
-    /// Ghost delta-channel desyncs summed over all PEs (each one degraded
-    /// a single step on a single link and forced a full-frame resync).
-    pub ghost_desyncs: u64,
     /// Link-layer retransmissions summed over all PEs — always zero over
     /// the perfect in-process transport.
     pub retransmits: u64,

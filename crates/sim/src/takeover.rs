@@ -361,7 +361,6 @@ pub(crate) fn run_roles(
                 comm_virtual_s: 0.0, // aggregated by the driver from all ranks
                 msgs_sent: 0,
                 bytes_sent: 0,
-                ghost_desyncs: 0,
                 retransmits: 0,
                 suspicions: 0,
                 wall_s: run_start.elapsed_s(),
@@ -375,7 +374,6 @@ pub(crate) fn run_roles(
                     comm_stats,
                     phase_times: pe.phase_times(),
                     wire_bytes: pe.wire_bytes(),
-                    ghost_desyncs: pe.ghost_desyncs(),
                 },
             )
         })

@@ -15,7 +15,7 @@ use pcdlb_domain::Col;
 use pcdlb_md::{Particle, Vec3};
 use pcdlb_mp::WireSize;
 
-use crate::frame::{DeltaChannel, GhostPart, GhostShellFrame, ParticleFrame, StepFrame};
+use crate::frame::{GhostPart, GhostShellFrame, ParticleFrame, StepFrame};
 use crate::stats::StatsPacket;
 
 /// Reference encoder: actually serialize the value and count the bytes.
@@ -30,12 +30,6 @@ trait RefEncode {
 }
 
 impl RefEncode for u64 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-}
-
-impl RefEncode for u32 {
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_le_bytes());
     }
@@ -142,31 +136,18 @@ impl RefEncode for GhostPart {
 }
 
 impl RefEncode for GhostShellFrame {
-    /// The *actual* layout (what `encoded_size` reports): a 1-byte delta
-    /// flag, then either the length-prefixed full list or the delta
-    /// sections (u32 prev_len, u64 fingerprint, then the length-prefixed
-    /// bitmap, survivor positions, and arrivals).
+    /// A 1-byte format tag (always 0), then the length-prefixed list.
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.delta as u8).encode(out);
-        if self.delta {
-            self.prev_len.encode(out);
-            self.prev_check.encode(out);
-            self.survive.encode(out);
-            self.moved.encode(out);
-            self.arrivals.encode(out);
-        } else {
-            self.full.encode(out);
-        }
+        0u8.encode(out);
+        self.parts.encode(out);
     }
 }
 
 impl RefEncode for StepFrame {
-    /// The actual layout: 1-byte presence header + migrant section,
-    /// Option-encoded load, 1-byte presence header + ghost section. The
-    /// ghost-resync request bit rides bit 1 of the round-1 presence
-    /// header, so it costs no wire bytes.
+    /// 1-byte presence header + migrant section, Option-encoded load,
+    /// 1-byte presence header + ghost section.
     fn encode(&self, out: &mut Vec<u8>) {
-        ((self.has_migrants as u8) | ((self.resync as u8) << 1)).encode(out);
+        (self.has_migrants as u8).encode(out);
         if self.has_migrants {
             self.migrants.encode(out);
         }
@@ -198,16 +179,6 @@ fn check<T: WireSize + RefEncode>(value: &T, what: &str) {
         value.wire_size(),
         value.encoded_len(),
         "WireSize mismatch for {what}"
-    );
-}
-
-/// For frames whose canonical and actual layouts diverge (delta ghost
-/// frames): the reference encoder pins the actual layout.
-fn check_encoded<T: WireSize + RefEncode>(value: &T, what: &str) {
-    assert_eq!(
-        value.encoded_size(),
-        value.encoded_len(),
-        "encoded_size mismatch for {what}"
     );
 }
 
@@ -249,36 +220,18 @@ fn every_sent_payload_type_matches_the_reference_encoding() {
         let mut dlb = StepFrame::default();
         dlb.begin_round1(Some(0.75));
         check(&Arc::new(dlb), "round-1 step frame with load");
-        let mut resync = StepFrame::default();
-        resync.begin_round1(None);
-        resync.resync = true;
-        // The resync bit packs into the presence header: same byte count.
-        check(&Arc::new(resync), "round-1 step frame with resync bit");
     }
     // pe.rs: STEP_FRAME round 2 carries the ghost shell; plane.rs and
     // cube.rs ship the bare shell frame on their own ghost tags.
     {
-        let mut tx = DeltaChannel::default();
         let mut frame = StepFrame::default();
         frame.begin_round2();
-        for i in 0..6u64 {
-            tx.scratch.push((i * 2, Vec3::new(i as f64, 1.0, 1.5)));
-        }
-        tx.encode_into(true, &mut frame.ghosts);
-        assert!(!frame.ghosts.delta, "first frame is full");
-        check(&Arc::new(frame.clone()), "round-2 step frame, full ghosts");
-        // Second frame on the channel: a real delta (moves + one leave +
-        // one join), enough survivors for the delta to win on size.
-        for i in 1..6u64 {
-            tx.scratch.push((i * 2, Vec3::new(i as f64, 1.25, 1.5)));
-        }
-        tx.scratch.push((11, Vec3::new(3.0, 3.0, 3.0)));
-        tx.encode_into(true, &mut frame.ghosts);
-        assert!(frame.ghosts.delta);
-        check_encoded(&frame.ghosts, "delta ghost shell");
-        check_encoded(&Arc::new(frame.clone()), "round-2 step frame, delta");
-        // The canonical charge stays content-based under either encoding.
-        assert_eq!(frame.ghosts.wire_size(), 1 + 8 + 32 * 6);
+        frame.ghosts.parts.extend((0..6u64).map(|i| GhostPart {
+            id: i * 2,
+            pos: Vec3::new(i as f64, 1.0, 1.5),
+        }));
+        check(&frame.ghosts, "ghost shell");
+        check(&Arc::new(frame), "round-2 step frame");
         check(&GhostShellFrame::default(), "empty ghost shell");
     }
     // pe.rs / plane.rs / cube.rs: KE_GATHER carries Vec<(u64, f64)>.

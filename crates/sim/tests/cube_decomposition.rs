@@ -107,24 +107,6 @@ fn cube_trades_message_count_for_volume_as_the_model_predicts() {
 }
 
 #[test]
-fn cube_delta_ghost_encoding_never_changes_results() {
-    // Delta vs full ghost frames across the 26 directions — including
-    // the k = 2 torus where duplicate deliveries are deduplicated —
-    // must never change results; only actual bytes shipped differ.
-    for (p, nc) in [(8usize, 4usize), (27, 6)] {
-        let on = cfg(p, nc, 25);
-        let mut off = on.clone();
-        off.delta_ghosts = false;
-        let (rep_on, snap_on) = run_cube_with_snapshot(&on);
-        let (rep_off, snap_off) = run_cube_with_snapshot(&off);
-        assert_bitwise_equal(&snap_on, &snap_off);
-        assert_eq!(rep_on.records, rep_off.records, "P = {p}");
-        assert_eq!(rep_on.comm_virtual_s, rep_off.comm_virtual_s);
-        assert_eq!(rep_on.bytes_sent, rep_off.bytes_sent);
-    }
-}
-
-#[test]
 #[should_panic(expected = "P = k³")]
 fn non_cube_pe_count_rejected() {
     let c = cfg(9, 6, 5);

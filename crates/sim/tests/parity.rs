@@ -134,30 +134,6 @@ fn central_pull_driver_preserves_parity() {
 }
 
 #[test]
-fn delta_ghost_encoding_never_changes_results() {
-    // The comm-volume diet changes only the bytes on the wire: with
-    // delta encoding off, every ghost frame ships full, but the cost
-    // model charges the canonical content-based size either way — so
-    // trajectories, step records, and comm totals are identical at
-    // every grid, DLB on or off.
-    for (p, nc) in [(4usize, 6usize), (9, 6), (16, 8)] {
-        let on = small_cfg(p, nc, 30, p >= 9);
-        let mut off = on.clone();
-        off.delta_ghosts = false;
-        let (rep_on, snap_on) = run_with_snapshot(&on);
-        let (rep_off, snap_off) = run_with_snapshot(&off);
-        assert_bitwise_equal(&snap_on, &snap_off);
-        assert_eq!(
-            rep_on.records, rep_off.records,
-            "P = {p}: step records diverged between delta and full ghosts"
-        );
-        assert_eq!(rep_on.comm_virtual_s, rep_off.comm_virtual_s);
-        assert_eq!(rep_on.msgs_sent, rep_off.msgs_sent);
-        assert_eq!(rep_on.bytes_sent, rep_off.bytes_sent);
-    }
-}
-
-#[test]
 fn imbalanced_start_triggers_transfers_and_stays_correct() {
     // A clustered start concentrates particles in one corner of the box,
     // so DDM load is imbalanced from step one and DLB must act.

@@ -69,21 +69,6 @@ fn moving_boundaries_do_not_change_physics() {
 }
 
 #[test]
-fn plane_delta_ghost_encoding_never_changes_results() {
-    // Delta vs full ghost frames on the ring (boundary moves included):
-    // the encoding affects only actual bytes shipped, never results.
-    let on = cfg(4, 8, 40, true);
-    let mut off = on.clone();
-    off.delta_ghosts = false;
-    let (rep_on, snap_on) = run_plane_with_snapshot(&on);
-    let (rep_off, snap_off) = run_plane_with_snapshot(&off);
-    assert_bitwise_equal(&snap_on, &snap_off);
-    assert_eq!(rep_on.records, rep_off.records);
-    assert_eq!(rep_on.comm_virtual_s, rep_off.comm_virtual_s);
-    assert_eq!(rep_on.bytes_sent, rep_off.bytes_sent);
-}
-
-#[test]
 fn plane_dlb_balances_a_slab_imbalance() {
     // All particles clustered in low-x slabs: exactly the imbalance a
     // 1-D balancer can fix. Fmax/Fave must improve materially.
